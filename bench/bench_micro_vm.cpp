@@ -78,6 +78,80 @@ void BM_PolicyCheckCall(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyCheckCall);
 
+void BM_PatientRecordCall(benchmark::State& state) {
+  // bench_c8's C8c record call (2000 mixing rounds, ~128k gas) through
+  // ContractStore::call_speculative, the path the wave executor takes
+  // for every contract tx: reports the interpreter's instruction rate on
+  // the call that dominates blockbench's replay_patient.
+  ContractStore store;
+  const Word id = store.deploy(assemble(R"(
+PUSH 0
+CALLDATALOAD
+PUSH 1
+EQ
+JUMPI @work
+REVERT
+work:
+PUSH 2
+CALLDATALOAD
+PUSH 1
+CALLDATALOAD
+loop:
+DUP 1
+ISZERO
+JUMPI @done
+PUSH 1
+SUB
+SWAP 1
+PUSH 48271
+MUL
+PUSH 11
+ADD
+DUP 1
+PUSH 7
+SHR
+XOR
+SWAP 1
+JUMP @loop
+done:
+POP
+PUSH 7
+PUSH 3
+CALLDATALOAD
+HASHN 2
+DUP 1
+SLOAD
+DUP 3
+ADD
+SWAP 1
+SSTORE
+POP
+STOP
+)"),
+                               /*deployer=*/1, /*height=*/1);
+  // 256 committed patient cells, as on replay_patient once it warms up.
+  for (Word patient = 0; patient < 256; ++patient) {
+    ExecContext seed;
+    seed.gas_limit = 500'000;
+    seed.calldata = {1, 0, patient, patient};
+    store.call(id, seed);
+  }
+  ExecContext ctx;
+  ctx.gas_limit = 500'000;
+  std::uint64_t steps = 0;
+  Word patient = 0;
+  for (auto _ : state) {
+    ctx.calldata = {1, 2'000, patient, patient};
+    patient = (patient + 1) % 256;
+    const auto spec = store.call_speculative(id, ctx);
+    benchmark::DoNotOptimize(spec->writes);
+    steps += spec->result.steps;
+  }
+  state.counters["instr_per_s"] = benchmark::Counter(
+      static_cast<double>(steps), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PatientRecordCall);
+
 void BM_Assemble(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 
 #include "chain/block.hpp"
@@ -137,6 +138,148 @@ int main(int argc, char** argv) {
     // stack cap instead of growing past it.
     Bytes flood(1100, 0x60);  // Op::Caller
     write_seed(root / "vm_execute", "caller_flood", BytesView(flood));
+  }
+  {
+    // Interpreter boundary cases. tests/vm_pinned_test.cpp replays every
+    // vm_execute seed against a table of pinned outcomes; the gas cases
+    // are sized for the harness's 100'000 gas limit.
+    const auto with_tail = [](Bytes code, std::initializer_list<std::uint8_t>
+                                              tail) {
+      code.insert(code.end(), tail.begin(), tail.end());
+      return code;
+    };
+    const auto repeat = [](const std::string& line, int n) {
+      std::string out;
+      for (int i = 0; i < n; ++i) out += line;
+      return out;
+    };
+    // pc 2 lies inside PUSH's immediate: BadJump.
+    write_seed(root / "vm_execute", "jump_into_push_imm",
+               BytesView(vm::assemble("PUSH 2\nJUMP")));
+    // pc 10 holds an undefined opcode: a valid target that traps BadOpcode.
+    write_seed(root / "vm_execute", "jump_to_bad_opcode",
+               BytesView(with_tail(vm::assemble("PUSH 10\nJUMP"), {0xff})));
+    // Retires two instructions, then meets a PUSH cut short by the end.
+    write_seed(root / "vm_execute", "trunc_push_tail",
+               BytesView(with_tail(vm::assemble("PUSH 5\nPOP"),
+                                   {0x01, 0x2a, 0x00})));
+    // 3 + 2939*34 + 17 + 3 + 8*6 + 3 = 100'000 gas: STOP retires at the
+    // limit exactly. One more PUSH/POP pair: the PUSH lands on the limit,
+    // the POP traps OutOfGas.
+    const std::string countdown =
+        "PUSH 2939\nloop:\nDUP 1\nISZERO\nJUMPI @done\nPUSH 1\nSUB\n"
+        "JUMP @loop\ndone:\nPOP\n";
+    write_seed(root / "vm_execute", "gas_exact_limit",
+               BytesView(vm::assemble(countdown + repeat("PUSH 0\nPOP\n", 8) +
+                                      "STOP")));
+    write_seed(root / "vm_execute", "gas_over_limit",
+               BytesView(vm::assemble(countdown + repeat("PUSH 0\nPOP\n", 9) +
+                                      "STOP")));
+    // Endless loop: OutOfGas under the harness, StepLimit under a tighter
+    // step cap.
+    write_seed(root / "vm_execute", "endless_loop",
+               BytesView(vm::assemble("loop:\nJUMP @loop")));
+    // kMaxStack pushes fit; the next PUSH / DUP traps StackOverflow.
+    write_seed(root / "vm_execute", "push_overflow",
+               BytesView(vm::assemble(repeat("PUSH 1\n", 1025))));
+    write_seed(root / "vm_execute", "dup_overflow",
+               BytesView(vm::assemble(repeat("PUSH 1\n", 1024) + "DUP 1")));
+    // Depth 0 is StackUnderflow for both.
+    write_seed(root / "vm_execute", "dup_depth0",
+               BytesView(vm::assemble("PUSH 1\nDUP 0")));
+    write_seed(root / "vm_execute", "swap_depth0",
+               BytesView(vm::assemble("PUSH 1\nPUSH 2\nSWAP 0")));
+    // No STOP: falling off the end commits like STOP.
+    write_seed(root / "vm_execute", "fall_off_end",
+               BytesView(vm::assemble("PUSH 5\nPUSH 9\nSSTORE\nPUSH 1\n"
+                                      "PUSH 2\nADD")));
+    // Environment reads, HASHN, storage set and erase, SXLOAD, ORACLE,
+    // EMIT and RETURN in one successful run.
+    write_seed(root / "vm_execute", "mixed_ops", BytesView(vm::assemble(R"(
+CALLER
+CALLVALUE
+HEIGHT
+TIMESTAMP
+GASLEFT
+CALLDATASIZE
+HASHN 6
+DUP 1
+PUSH 3
+SSTORE
+PUSH 0
+PUSH 1
+SSTORE
+PUSH 42
+SLOAD
+PUSH 9
+PUSH 5
+SXLOAD
+PUSH 17
+ORACLE
+PUSH 7
+MOD
+PUSH 3
+SHL
+NOT
+ADD
+PUSH 2748
+EMIT 2
+PUSH 4
+DIV
+DUP 1
+PUSH 1
+SHR
+XOR
+DUP 1
+RETURN 2
+)")));
+    // The per-patient record call that dominates replay_patient (selector
+    // calldata[0] = 1, calldata[1] rounds of mixing).
+    write_seed(root / "vm_execute", "patient_record_mix",
+               BytesView(vm::assemble(R"(
+PUSH 0
+CALLDATALOAD
+PUSH 1
+EQ
+JUMPI @work
+REVERT
+work:
+PUSH 2
+CALLDATALOAD
+PUSH 1
+CALLDATALOAD
+loop:
+DUP 1
+ISZERO
+JUMPI @done
+PUSH 1
+SUB
+SWAP 1
+PUSH 48271
+MUL
+PUSH 11
+ADD
+DUP 1
+PUSH 7
+SHR
+XOR
+SWAP 1
+JUMP @loop
+done:
+POP
+PUSH 7
+PUSH 3
+CALLDATALOAD
+HASHN 2
+DUP 1
+SLOAD
+DUP 3
+ADD
+SWAP 1
+SSTORE
+POP
+STOP
+)")));
   }
 
   // Static-analyzer seeds: real contract bytecode (the precision path)
