@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
                BytesView(vm::assemble("PUSH 5\nPUSH 9\nSSTORE\nPUSH 1\n"
                                       "PUSH 2\nADD")));
     // Environment reads, HASHN, storage set and erase, SXLOAD, ORACLE,
-    // EMIT and RETURN in one successful run.
+    // EMIT, arithmetic and RETURN in one successful run.
     write_seed(root / "vm_execute", "mixed_ops", BytesView(vm::assemble(R"(
 CALLER
 CALLVALUE
@@ -226,59 +226,26 @@ PUSH 2748
 EMIT 2
 PUSH 4
 DIV
+PUSH 48271
+MUL
+PUSH 5
+SUB
+DUP 1
+PUSH 9
+GT
+ADD
+DUP 1
+PUSH 3
+LT
+OR
+PUSH 1099511627775
+AND
 DUP 1
 PUSH 1
 SHR
 XOR
 DUP 1
 RETURN 2
-)")));
-    // The per-patient record call that dominates replay_patient (selector
-    // calldata[0] = 1, calldata[1] rounds of mixing).
-    write_seed(root / "vm_execute", "patient_record_mix",
-               BytesView(vm::assemble(R"(
-PUSH 0
-CALLDATALOAD
-PUSH 1
-EQ
-JUMPI @work
-REVERT
-work:
-PUSH 2
-CALLDATALOAD
-PUSH 1
-CALLDATALOAD
-loop:
-DUP 1
-ISZERO
-JUMPI @done
-PUSH 1
-SUB
-SWAP 1
-PUSH 48271
-MUL
-PUSH 11
-ADD
-DUP 1
-PUSH 7
-SHR
-XOR
-SWAP 1
-JUMP @loop
-done:
-POP
-PUSH 7
-PUSH 3
-CALLDATALOAD
-HASHN 2
-DUP 1
-SLOAD
-DUP 3
-ADD
-SWAP 1
-SSTORE
-POP
-STOP
 )")));
   }
 

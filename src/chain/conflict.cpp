@@ -20,7 +20,7 @@ FootprintCell balance_cell(const Address& addr) { return balance_cell_of(addr); 
 void fold_contract_footprint(const vm::DeployedContract& dc,
                              TxFootprint& out) {
   using Kind = vm::analysis::FootprintEntry::Kind;
-  const vm::analysis::AnalysisReport& report = dc.report;
+  const vm::analysis::AnalysisReport& report = dc.code->report;
   if (report.incomplete) {
     out.unbounded = true;
     return;

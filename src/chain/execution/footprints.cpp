@@ -20,12 +20,12 @@ bool concretize_call_footprint(const Transaction& tx,
   // matching handler's keys remain); fall back to the whole-program
   // footprint for non-dispatch contracts or unmatched selectors.
   const vm::analysis::SelectorSummary* sum =
-      vm::analysis::summary_for(dc->selector_summaries, call->calldata);
+      vm::analysis::summary_for(dc->code->selector_summaries, call->calldata);
   const vm::analysis::StorageFootprint* fp = nullptr;
   if (sum != nullptr && !sum->incomplete)
     fp = &sum->footprint;
-  else if (!dc->report.incomplete)
-    fp = &dc->report.footprint;
+  else if (!dc->code->report.incomplete)
+    fp = &dc->code->report.footprint;
   if (fp == nullptr) return false;
 
   // The scheduling-time environment mirrors VmExecutionHook's ExecContext

@@ -672,9 +672,12 @@ struct Interp {
 }  // namespace
 
 AnalysisReport analyze(BytesView code, const AnalyzeOptions& opts) {
+  return analyze(decode_program(code), opts);
+}
+
+AnalysisReport analyze(const Program& program, const AnalyzeOptions& opts) {
   AnalysisReport report;
-  report.code_bytes = code.size();
-  const Program program = decode_program(code);
+  report.code_bytes = program.code_size();
   report.instruction_count = program.instrs.size();
   report.well_formed = program.well_formed;
   if (program.instrs.empty()) {
@@ -733,7 +736,10 @@ AnalysisReport analyze(BytesView code, const AnalyzeOptions& opts) {
 }
 
 std::vector<Word> discover_selectors(BytesView code) {
-  const Program program = decode_program(code);
+  return discover_selectors(decode_program(code));
+}
+
+std::vector<Word> discover_selectors(const Program& program) {
   std::set<Word> selectors;
   const auto& ins = program.instrs;
   // Canonical dispatch shape emitted by the assembler's `JUMPI @label`
@@ -818,13 +824,17 @@ std::string soundness_violation(const AnalysisReport& report,
 }
 
 std::vector<SelectorSummary> summarize_selectors(BytesView code) {
+  return summarize_selectors(decode_program(code));
+}
+
+std::vector<SelectorSummary> summarize_selectors(const Program& program) {
   std::vector<SelectorSummary> summaries;
-  const std::vector<Word> selectors = discover_selectors(code);
+  const std::vector<Word> selectors = discover_selectors(program);
   for (const Word sel : selectors) {
     if (summaries.size() >= kMaxSelectorSummaries) break;
     AnalyzeOptions opts;
     opts.selector = sel;
-    AnalysisReport per = analyze(code, opts);
+    AnalysisReport per = analyze(program, opts);
     summaries.push_back(
         {sel, per.incomplete, std::move(per.footprint)});
   }

@@ -224,12 +224,17 @@ struct AnalyzeOptions {
   std::optional<Word> selector;
 };
 
+/// Analyze a decoded program (ContractStore::deploy passes the Program
+/// it stores); the BytesView form decodes first.
+[[nodiscard]] AnalysisReport analyze(const Program& program,
+                                     const AnalyzeOptions& opts = {});
 [[nodiscard]] AnalysisReport analyze(BytesView code,
                                      const AnalyzeOptions& opts = {});
 
 /// Selector constants compared against calldata[0] in the canonical
 /// dispatch pattern (PUSH k / EQ / PUSH @target / JUMPI), for
 /// per-entry-point sweeps by tools and benches.
+[[nodiscard]] std::vector<Word> discover_selectors(const Program& program);
 [[nodiscard]] std::vector<Word> discover_selectors(BytesView code);
 
 // ---------------------------------------------------------------------------
@@ -300,6 +305,8 @@ inline constexpr std::size_t kMaxSelectorSummaries = 32;
 
 /// One summary per discovered selector, in selector order, capped at
 /// kMaxSelectorSummaries. Cached by ContractStore at deploy time.
+[[nodiscard]] std::vector<SelectorSummary> summarize_selectors(
+    const Program& program);
 [[nodiscard]] std::vector<SelectorSummary> summarize_selectors(BytesView code);
 
 /// The summary whose selector equals calldata[0]; nullptr when calldata

@@ -6,36 +6,6 @@
 
 namespace mc::vm::analysis {
 
-Program decode_program(BytesView code) {
-  Program program;
-  program.instr_at.assign(code.size(), Program::kNoInstr);
-  std::size_t pc = 0;
-  while (pc < code.size()) {
-    // Mirror vm.cpp's jump_targets(): every decoded start is a boundary,
-    // including the undefined-opcode position itself.
-    program.instr_at[pc] = program.instrs.size();
-    if (!is_valid_op(code[pc])) {
-      program.instrs.push_back({pc, Op::Stop, 0, 1, /*valid=*/false});
-      program.well_formed = false;
-      return program;
-    }
-    const Op op = static_cast<Op>(code[pc]);
-    const auto width = static_cast<std::size_t>(immediate_width(op));
-    if (pc + 1 + width > code.size()) {
-      // Truncated immediate: decodes as a boundary, traps at execution.
-      program.instrs.push_back({pc, op, 0, code.size() - pc, /*valid=*/false});
-      program.well_formed = false;
-      return program;
-    }
-    Word imm = 0;
-    for (std::size_t i = 0; i < width; ++i)
-      imm |= static_cast<Word>(code[pc + 1 + i]) << (8 * i);
-    program.instrs.push_back({pc, op, imm, 1 + width, /*valid=*/true});
-    pc += 1 + width;
-  }
-  return program;
-}
-
 namespace {
 
 /// True when the instruction never falls through to pc + size.
@@ -139,13 +109,13 @@ bool longest_path_gas(const Program& program, const Cfg& cfg,
   if (cfg.blocks.empty() || cfg.has_cycle) return !cfg.has_cycle;
 
   // Per-block gas: sum of retired-instruction costs. An invalid trailing
-  // instruction charges nothing (vm::execute traps BadOpcode before the
-  // gas add).
+  // instruction decodes with gas 0 (vm::execute traps BadOpcode before
+  // the gas add).
   std::vector<std::uint64_t> block_gas(cfg.blocks.size(), 0);
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b)
     for (std::size_t i = cfg.blocks[b].first_instr;
          i < cfg.blocks[b].past_instr; ++i)
-      if (program.instrs[i].valid) block_gas[b] += gas_cost(program.instrs[i].op);
+      block_gas[b] += program.instrs[i].gas;
 
   // Reverse-postorder DP over the acyclic reachable subgraph.
   std::vector<std::size_t> postorder;

@@ -1,53 +1,18 @@
 // Control-flow graph layer of the bytecode static analyzer.
 //
-// Decodes an Op blob into an instruction list mirroring vm::execute's
-// boundary rules exactly (the first undefined opcode or truncated
-// immediate is itself a valid jump target that traps at runtime; bytes
-// beyond it are not), then builds basic blocks once the abstract
-// interpreter has resolved constant jump targets. The block graph is
-// what the gas bound (longest acyclic path), loop-head identification
-// (back edges) and unreachable-code detection are computed on.
+// Builds basic blocks over the VM's decoded Program (vm/program.hpp, the
+// same decoding vm::execute runs over) once the abstract interpreter has
+// resolved constant jump targets. The block graph is what the gas bound
+// (longest acyclic path), loop-head identification (back edges) and
+// unreachable-code detection are computed on.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "vm/opcode.hpp"
-#include "vm/vm.hpp"
+#include "vm/program.hpp"
 
 namespace mc::vm::analysis {
-
-/// One decoded instruction. `valid == false` marks the trailing
-/// undefined-opcode / truncated-immediate position: executing it traps
-/// BadOpcode, so it terminates its block with no successors.
-struct Instr {
-  std::size_t pc = 0;
-  Op op = Op::Stop;
-  Word imm = 0;
-  std::size_t size = 1;  ///< opcode byte + immediate bytes
-  bool valid = true;
-};
-
-/// Decoded program: instruction list plus the pc -> index map the
-/// interpreter and jump validation share.
-struct Program {
-  std::vector<Instr> instrs;
-  /// index into instrs for each code byte that starts an instruction;
-  /// kNoInstr elsewhere (mid-immediate bytes, bytes past a decode stop).
-  std::vector<std::size_t> instr_at;
-  /// True when every byte decoded: no undefined opcode, no truncated
-  /// immediate (the same predicate as vm::code_well_formed).
-  bool well_formed = true;
-
-  static constexpr std::size_t kNoInstr = static_cast<std::size_t>(-1);
-
-  [[nodiscard]] bool is_boundary(Word pc) const {
-    return pc < instr_at.size() &&
-           instr_at[static_cast<std::size_t>(pc)] != kNoInstr;
-  }
-};
-
-[[nodiscard]] Program decode_program(BytesView code);
 
 /// Basic block over [first_instr, past_instr) indices into
 /// Program::instrs. Successor lists hold block indices.
@@ -76,8 +41,8 @@ using SuccessorMap = std::vector<std::vector<std::size_t>>;
 [[nodiscard]] Cfg build_cfg(const Program& program, const SuccessorMap& succs,
                             const std::vector<bool>& reachable);
 
-/// Worst-case gas along any path from the entry block, summing
-/// vm::gas_cost per instruction. Returns false (top) when the reachable
+/// Worst-case gas along any path from the entry block, summing each
+/// instruction's decoded gas cost. Returns false (top) when the reachable
 /// subgraph has a cycle; loop heads are flagged on the Cfg by build_cfg.
 [[nodiscard]] bool longest_path_gas(const Program& program, const Cfg& cfg,
                                     std::uint64_t& out_gas);

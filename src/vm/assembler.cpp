@@ -7,6 +7,7 @@
 
 #include "common/hex.hpp"
 #include "vm/opcode.hpp"
+#include "vm/program.hpp"
 
 namespace mc::vm {
 namespace {
@@ -134,33 +135,21 @@ Bytes assemble(std::string_view source) {
 
 std::string disassemble(BytesView code) {
   std::ostringstream out;
-  std::size_t pc = 0;
-  while (pc < code.size()) {
-    out << pc << ": ";
-    if (!is_valid_op(code[pc])) {
-      out << "<bad 0x" << std::hex << static_cast<int>(code[pc]) << std::dec
-          << ">\n";
+  for (const Instr& in : decode_program(code).instrs) {
+    out << in.pc << ": ";
+    if (!in.valid) {
+      // The decode stop: an undefined opcode, or a truncated immediate
+      // (untrusted bytecode reaches the disassembler via debug tooling).
+      if (is_valid_op(code[in.pc]))
+        out << "<truncated " << mnemonic(in.op) << ">\n";
+      else
+        out << "<bad 0x" << std::hex << static_cast<int>(code[in.pc])
+            << std::dec << ">\n";
       break;
     }
-    const Op op = static_cast<Op>(code[pc]);
-    const int width = immediate_width(op);
-    // A truncated immediate must not read past the blob (untrusted
-    // bytecode reaches the disassembler via debug tooling too).
-    if (pc + 1 + static_cast<std::size_t>(width) > code.size()) {
-      out << "<truncated " << mnemonic(op) << ">\n";
-      break;
-    }
-    out << mnemonic(op);
-    if (width > 0) {
-      std::uint64_t imm = 0;
-      for (int i = 0; i < width; ++i)
-        imm |= static_cast<std::uint64_t>(
-                   code[pc + 1 + static_cast<std::size_t>(i)])
-               << (8 * i);
-      out << ' ' << imm;
-    }
+    out << mnemonic(in.op);
+    if (immediate_width(in.op) > 0) out << ' ' << in.imm;
     out << '\n';
-    pc += 1 + static_cast<std::size_t>(width);
   }
   return out.str();
 }

@@ -7,23 +7,20 @@
 namespace mc::vm {
 namespace {
 
-/// Forwards oracle calls to the outer host, logs events locally, and
-/// serves cross-contract reads from the store's committed state (so
-/// SXLOAD is deterministic on-chain data, never an off-chain call).
+/// Forwards oracle calls to the outer host, holds a successful run's
+/// events until call() has committed its storage, and serves
+/// cross-contract reads from the store's committed state (so SXLOAD is
+/// deterministic on-chain data, never an off-chain call).
 class CapturingHost : public Host {
  public:
-  CapturingHost(Host& inner, std::vector<Event>& sink,
-                const std::map<Word, DeployedContract>& contracts)
-      : inner_(inner), sink_(sink), contracts_(contracts) {}
+  CapturingHost(Host& inner, const std::map<Word, DeployedContract>& contracts)
+      : inner_(inner), contracts_(contracts) {}
 
   std::optional<Word> oracle(Word request) override {
     return inner_.oracle(request);
   }
 
-  void on_event(const Event& event) override {
-    sink_.push_back(event);
-    inner_.on_event(event);
-  }
+  void on_event(const Event& event) override { events.push_back(event); }
 
   std::optional<Word> foreign_storage(Word contract_id, Word key) override {
     auto it = contracts_.find(contract_id);
@@ -32,9 +29,10 @@ class CapturingHost : public Host {
     return slot == it->second.storage.end() ? 0 : slot->second;
   }
 
+  std::vector<Event> events;
+
  private:
   Host& inner_;
-  std::vector<Event>& sink_;
   const std::map<Word, DeployedContract>& contracts_;
 };
 
@@ -70,18 +68,6 @@ class SpeculativeHost : public Host {
   const std::map<Word, DeployedContract>& contracts_;
 };
 
-/// Scan bytecode for Op::Oracle (deployment-time; immediate widths keep
-/// the walk aligned on instruction boundaries).
-bool code_uses_oracle(BytesView code) {
-  std::size_t pc = 0;
-  while (pc < code.size()) {
-    const Op op = static_cast<Op>(code[pc]);
-    if (op == Op::Oracle) return true;
-    pc += 1 + static_cast<std::size_t>(immediate_width(op));
-  }
-  return false;
-}
-
 #if defined(MEDCHAIN_AUDIT)
 /// Audit leg of the symbolic-domain contract: evaluate the deployed
 /// symbolic footprints under the call's fully-known environment and
@@ -92,13 +78,14 @@ std::string concretization_check(const DeployedContract& dc,
                                  const ExecContext& ctx,
                                  const ExecTrace& trace) {
   const analysis::SymbolicEnv env = analysis::env_of(ctx);
-  if (!dc.report.incomplete) {
+  const ContractCode& code = *dc.code;
+  if (!code.report.incomplete) {
     std::string v =
-        analysis::concretization_violation(dc.report.footprint, env, trace);
+        analysis::concretization_violation(code.report.footprint, env, trace);
     if (!v.empty()) return v;
   }
   const analysis::SelectorSummary* sum =
-      analysis::summary_for(dc.selector_summaries, ctx.calldata);
+      analysis::summary_for(code.selector_summaries, ctx.calldata);
   if (sum != nullptr && !sum->incomplete)
     return analysis::concretization_violation(sum->footprint, env, trace);
   return {};
@@ -108,7 +95,8 @@ std::string concretization_check(const DeployedContract& dc,
 }  // namespace
 
 Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
-  analysis::AnalysisReport report = analysis::analyze(BytesView(code));
+  Program program = decode_program(BytesView(code));
+  analysis::AnalysisReport report = analysis::analyze(program);
   const analysis::AdmissionVerdict verdict = analysis::admit(report, policy_);
   if (!verdict.admitted) throw AdmissionError(verdict.reason);
 
@@ -118,21 +106,23 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   w.u64(nonce_++);
   const Word id = crypto::sha256(BytesView(w.data())).prefix_u64();
 
+  const bool uses_oracle = program.contains(Op::Oracle);
+  std::vector<analysis::SelectorSummary> summaries =
+      analysis::summarize_selectors(program);
   DeployedContract dc;
   dc.id = id;
   dc.deployer = deployer;
-  dc.uses_oracle = code_uses_oracle(BytesView(code));
-  dc.selector_summaries = analysis::summarize_selectors(BytesView(code));
-  dc.code = std::move(code);
+  dc.code = std::make_shared<const ContractCode>(
+      ContractCode{std::move(code), std::move(program), std::move(report),
+                   std::move(summaries), uses_oracle});
   dc.deployed_height = height;
-  dc.report = std::move(report);
   contracts_[id] = std::move(dc);
   return id;
 }
 
 bool ContractStore::speculable(Word id) const {
   auto it = contracts_.find(id);
-  return it != contracts_.end() && !it->second.uses_oracle;
+  return it != contracts_.end() && !it->second.code->uses_oracle;
 }
 
 std::optional<SpeculativeCall> ContractStore::call_speculative(
@@ -147,14 +137,16 @@ std::optional<SpeculativeCall> ContractStore::call_speculative(
   ctx.trace = &spec.trace;  // always traced: the write/read sets come from it
 
   SpeculativeHost host(spec, contracts_);
-  Storage working = dc.storage;  // scratch copy; the store stays untouched
-  spec.result = execute(BytesView(dc.code), working, ctx, host);
+  // The run's one storage copy, worked on in place; the store stays
+  // untouched.
+  Storage working = dc.storage;
+  spec.result = execute(dc.code->program, working, ctx, host);
 
 #if defined(MEDCHAIN_AUDIT)
   // Same soundness contract as call(): the dynamic trace must sit inside
   // the static bounds proven at deployment.
   const std::string violation =
-      analysis::soundness_violation(dc.report, spec.trace, spec.result);
+      analysis::soundness_violation(dc.code->report, spec.trace, spec.result);
   MC_DCHECK(violation.empty(),
             "static analysis soundness contract violated on speculative call");
   const std::string concrete_violation = concretization_check(dc, ctx, spec.trace);
@@ -221,28 +213,37 @@ std::optional<ExecResult> ContractStore::call(Word id, ExecContext ctx,
                                               Host& oracle_host) {
   auto it = contracts_.find(id);
   if (it == contracts_.end()) return std::nullopt;
+  DeployedContract& dc = it->second;
   ctx.contract_id = id;
-  CapturingHost host(oracle_host, events_, contracts_);
+  CapturingHost host(oracle_host, contracts_);
 #if defined(MEDCHAIN_AUDIT)
   // Audit builds mechanically enforce the analyzer's soundness contract:
   // record the dynamic footprint/stack of every call and require it to be
   // contained in the static bounds proven at deployment.
   ExecTrace trace;
   ctx.trace = &trace;
-  const ExecResult result =
-      execute(BytesView(it->second.code), it->second.storage, ctx, host);
+#endif
+  // Run on a copy, committed on success: an SXLOAD of the callee itself
+  // reads its committed storage, as on the speculative path.
+  Storage working = dc.storage;
+  const ExecResult result = execute(dc.code->program, working, ctx, host);
+  if (result.ok()) {
+    dc.storage = std::move(working);
+    for (const Event& event : host.events) {
+      events_.push_back(event);
+      oracle_host.on_event(event);
+    }
+  }
+#if defined(MEDCHAIN_AUDIT)
   const std::string violation =
-      analysis::soundness_violation(it->second.report, trace, result);
+      analysis::soundness_violation(dc.code->report, trace, result);
   MC_DCHECK(violation.empty(),
             "static analysis soundness contract violated on contract call");
-  const std::string concrete_violation =
-      concretization_check(it->second, ctx, trace);
+  const std::string concrete_violation = concretization_check(dc, ctx, trace);
   MC_DCHECK(concrete_violation.empty(),
             "concretized footprint missed a traced cell on contract call");
-  return result;
-#else
-  return execute(BytesView(it->second.code), it->second.storage, ctx, host);
 #endif
+  return result;
 }
 
 std::optional<ExecResult> ContractStore::call(Word id, ExecContext ctx) {
@@ -282,7 +283,7 @@ Hash256 ContractStore::digest() const {
   for (const auto& [id, dc] : contracts_) {
     w.u64(id);
     w.u64(dc.deployer);
-    w.bytes(BytesView(dc.code));
+    w.bytes(BytesView(dc.code->bytes));
     for (const auto& [key, value] : dc.storage) {
       w.u64(key);
       w.u64(value);

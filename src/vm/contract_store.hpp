@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -27,24 +28,34 @@ class AdmissionError : public std::invalid_argument {
       : std::invalid_argument("contract admission rejected: " + reason) {}
 };
 
+/// Deploy-time artefacts of a contract, computed once by
+/// ContractStore::deploy and immutable afterwards. DeployedContract holds
+/// them behind a shared pointer: a store snapshot copies the pointer, not
+/// the artefacts, and concurrent speculative calls read them with no
+/// synchronisation.
+struct ContractCode {
+  Bytes bytes;
+  /// The decoded program every call runs over.
+  Program program;
+  /// Static analysis of the program; the audit build checks every later
+  /// call's dynamic trace against these bounds.
+  analysis::AnalysisReport report;
+  /// Per-dispatch-entry footprint summaries with symbolic keys. The
+  /// execution layer concretizes these against a tx's calldata to
+  /// schedule on exact cells (DESIGN.md §12–13).
+  std::vector<analysis::SelectorSummary> selector_summaries;
+  /// Program contains Op::Oracle: such calls must not be re-run
+  /// speculatively — a rerun would duplicate the external side effect —
+  /// so the parallel scheduler executes them at their commit slot.
+  bool uses_oracle = false;
+};
+
 struct DeployedContract {
   Word id = 0;
   Word deployer = 0;
-  Bytes code;
+  std::shared_ptr<const ContractCode> code;
   Storage storage;
   std::uint64_t deployed_height = 0;
-  /// Static analysis computed once at deployment; the audit build checks
-  /// every later call's dynamic trace against these bounds.
-  analysis::AnalysisReport report;
-  /// Per-dispatch-entry footprint summaries with symbolic keys, computed
-  /// once at deployment. The execution layer concretizes these against a
-  /// tx's calldata to schedule on exact cells (DESIGN.md §12–13).
-  std::vector<analysis::SelectorSummary> selector_summaries;
-  /// Code contains Op::Oracle (scanned at deployment): such calls must
-  /// not be re-run speculatively — a rerun would duplicate the external
-  /// side effect — so the parallel scheduler executes them at their
-  /// commit slot instead.
-  bool uses_oracle = false;
 };
 
 /// One contract call executed speculatively against the committed store
@@ -119,7 +130,8 @@ class ContractStore {
   /// Events with index >= `from_index` (monitor-node polling cursor).
   [[nodiscard]] std::vector<Event> events_since(std::size_t from_index) const;
 
-  /// Capture a snapshot labeled with `height`.
+  /// Capture a snapshot labeled with `height`: every contract's storage,
+  /// sharing (not copying) its ContractCode.
   void snapshot(std::uint64_t height);
 
   /// Restore the newest snapshot labeled <= `height`; with none, resets

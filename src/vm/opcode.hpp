@@ -8,9 +8,11 @@
 // the duplicated execution cost of anything heavier.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <utility>
 
 namespace mc::vm {
 
@@ -105,11 +107,43 @@ constexpr std::uint64_t gas_cost(Op op) {
   }
 }
 
+/// Every defined opcode with its assembler mnemonic.
+inline constexpr std::array<std::pair<std::string_view, Op>, 37> kMnemonics{{
+    {"STOP", Op::Stop},       {"PUSH", Op::Push},
+    {"POP", Op::Pop},         {"DUP", Op::Dup},
+    {"SWAP", Op::Swap},       {"ADD", Op::Add},
+    {"SUB", Op::Sub},         {"MUL", Op::Mul},
+    {"DIV", Op::Div},         {"MOD", Op::Mod},
+    {"LT", Op::Lt},           {"GT", Op::Gt},
+    {"EQ", Op::Eq},           {"ISZERO", Op::IsZero},
+    {"AND", Op::And},         {"OR", Op::Or},
+    {"XOR", Op::Xor},         {"NOT", Op::Not},
+    {"SHL", Op::Shl},         {"SHR", Op::Shr},
+    {"JUMP", Op::Jump},       {"JUMPI", Op::JumpI},
+    {"CALLDATALOAD", Op::CallDataLoad},
+    {"CALLDATASIZE", Op::CallDataSize},
+    {"SLOAD", Op::SLoad},     {"SSTORE", Op::SStore},
+    {"SXLOAD", Op::SxLoad},
+    {"CALLER", Op::Caller},   {"CALLVALUE", Op::CallValue},
+    {"HEIGHT", Op::Height},   {"TIMESTAMP", Op::Timestamp},
+    {"GASLEFT", Op::GasLeft}, {"EMIT", Op::Emit},
+    {"HASHN", Op::HashN},     {"ORACLE", Op::Oracle},
+    {"RETURN", Op::Return},   {"REVERT", Op::Revert},
+}};
+
 /// Mnemonic for the assembler/disassembler; nullopt for unknown bytes.
 std::optional<Op> op_from_mnemonic(std::string_view name);
 std::string_view mnemonic(Op op);
 
+/// Byte value -> "is a defined opcode".
+inline constexpr std::array<bool, 256> kValidOps = [] {
+  std::array<bool, 256> valid{};
+  for (const auto& entry : kMnemonics)
+    valid[static_cast<std::uint8_t>(entry.second)] = true;
+  return valid;
+}();
+
 /// True if the byte value corresponds to a defined opcode.
-bool is_valid_op(std::uint8_t byte);
+constexpr bool is_valid_op(std::uint8_t byte) { return kValidOps[byte]; }
 
 }  // namespace mc::vm

@@ -1,29 +1,13 @@
 #include "vm/vm.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "audit/check.hpp"
 #include "common/serial.hpp"
 #include "crypto/sha256.hpp"
 
 namespace mc::vm {
-namespace {
-
-/// Instruction boundaries (valid jump targets) for a code blob.
-std::vector<bool> jump_targets(BytesView code) {
-  std::vector<bool> valid(code.size(), false);
-  std::size_t pc = 0;
-  while (pc < code.size()) {
-    valid[pc] = true;
-    if (!is_valid_op(code[pc])) break;
-    pc += 1 + static_cast<std::size_t>(
-                  immediate_width(static_cast<Op>(code[pc])));
-  }
-  return valid;
-}
-
-}  // namespace
-
 std::string_view halt_name(Halt h) {
   switch (h) {
     case Halt::Stop: return "stop";
@@ -42,291 +26,306 @@ std::string_view halt_name(Halt h) {
 }
 
 bool code_well_formed(BytesView code) {
-  std::size_t pc = 0;
-  while (pc < code.size()) {
-    if (!is_valid_op(code[pc])) return false;
-    pc += 1 + static_cast<std::size_t>(
-                  immediate_width(static_cast<Op>(code[pc])));
-  }
-  return pc == code.size();
+  return decode_program(code).well_formed;
 }
 
 ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
                    Host& host) {
-  ExecResult result;
   Storage working = storage;  // all-or-nothing: commit on success
-  std::vector<Word> stack;
-  stack.reserve(64);
+  const ExecResult result = execute(decode_program(code), working, ctx, host);
+  if (result.ok()) storage = std::move(working);
+  return result;
+}
+
+ExecResult execute(const Program& program, Storage& storage,
+                   const ExecContext& ctx, Host& host) {
+  ExecResult result;
   std::vector<Event> events;
-  const std::vector<bool> targets = jump_targets(code);
+  ExecTrace* const trace = ctx.trace;
+  const Instr* const instrs = program.instrs.data();
+  const std::size_t count = program.instrs.size();
 
-  std::size_t pc = 0;
+  std::array<Word, kMaxStack> stack{};  // slots [0, sp) are live
+  std::size_t sp = 0;
+  // Deepest stack after any retired instruction. Only the growing ops
+  // (PUSH, DUP, CALLDATASIZE, environment reads) can set a new peak.
+  std::size_t peak = 0;
   std::uint64_t gas = 0;
+  std::uint64_t steps = 0;
 
-  const auto trap = [&](Halt h) {
+  const auto finish = [&](Halt h) {
     result.halt = h;
-    result.gas_used = std::min(gas, ctx.gas_limit);
+    result.steps = steps;
+    result.gas_used = std::min(gas, ctx.gas_limit);  // == gas unless OutOfGas
+    if (trace != nullptr) trace->max_stack = std::max(trace->max_stack, peak);
+    if (halted_ok(h))
+      for (const auto& ev : events) host.on_event(ev);
     return result;
   };
-
-  const auto need = [&](std::size_t n) { return stack.size() >= n; };
-  const auto pop = [&]() {
-    const Word v = stack.back();
-    stack.pop_back();
-    return v;
+  const auto push = [&](Word v) {
+    stack[sp++] = v;
+    peak = std::max(peak, sp);
   };
 
-  while (pc < code.size()) {
-    MC_DCHECK(stack.size() <= kMaxStack, "VM stack exceeded its hard bound");
+  std::size_t i = 0;
+  while (i < count) {
+    MC_DCHECK(sp <= kMaxStack, "VM stack exceeded its hard bound");
     MC_DCHECK(gas <= ctx.gas_limit, "VM retired an instruction past its gas");
-    if (!is_valid_op(code[pc])) return trap(Halt::BadOpcode);
-    const Op op = static_cast<Op>(code[pc]);
-    const int imm_width = immediate_width(op);
-    if (pc + 1 + static_cast<std::size_t>(imm_width) > code.size())
-      return trap(Halt::BadOpcode);
+    const Instr& in = instrs[i];
+    // An undefined opcode or truncated immediate traps before any charge.
+    if (!in.valid) return finish(Halt::BadOpcode);
+    gas += in.gas;
+    if (gas > ctx.gas_limit) return finish(Halt::OutOfGas);
+    if (++steps > ctx.step_limit) return finish(Halt::StepLimit);
+    ++i;
 
-    gas += gas_cost(op);
-    if (gas > ctx.gas_limit) return trap(Halt::OutOfGas);
-    if (++result.steps > ctx.step_limit) return trap(Halt::StepLimit);
-
-    Word imm = 0;
-    for (int i = 0; i < imm_width; ++i)
-      imm |= static_cast<Word>(code[pc + 1 + static_cast<std::size_t>(i)])
-             << (8 * i);
-    std::size_t next_pc = pc + 1 + static_cast<std::size_t>(imm_width);
-
-    switch (op) {
+    switch (in.op) {
       case Op::Stop:
-        storage = std::move(working);
-        for (const auto& ev : events) host.on_event(ev);
-        result.halt = Halt::Stop;
-        result.gas_used = gas;
-        return result;
+        return finish(Halt::Stop);
 
       case Op::Push:
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        stack.push_back(imm);
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(in.imm);
         break;
 
       case Op::Pop:
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        stack.pop_back();
+        if (sp < 1) return finish(Halt::StackUnderflow);
+        --sp;
         break;
 
       case Op::Dup: {
-        const std::size_t depth = static_cast<std::size_t>(imm);
-        if (depth == 0 || !need(depth)) return trap(Halt::StackUnderflow);
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        stack.push_back(stack[stack.size() - depth]);
+        const auto depth = static_cast<std::size_t>(in.imm);
+        if (depth == 0 || sp < depth) return finish(Halt::StackUnderflow);
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(stack[sp - depth]);
         break;
       }
 
       case Op::Swap: {
-        const std::size_t depth = static_cast<std::size_t>(imm);
-        if (depth == 0 || !need(depth + 1)) return trap(Halt::StackUnderflow);
-        std::swap(stack.back(), stack[stack.size() - 1 - depth]);
+        const auto depth = static_cast<std::size_t>(in.imm);
+        if (depth == 0 || sp < depth + 1) return finish(Halt::StackUnderflow);
+        std::swap(stack[sp - 1], stack[sp - 1 - depth]);
         break;
       }
 
+      // Binary ops: a = stack[sp-2], b = stack[sp-1]; the result
+      // replaces a.
       case Op::Add:
-      case Op::Sub:
-      case Op::Mul:
-      case Op::Div:
-      case Op::Mod:
-      case Op::Lt:
-      case Op::Gt:
-      case Op::Eq:
-      case Op::And:
-      case Op::Or:
-      case Op::Xor:
-      case Op::Shl:
-      case Op::Shr: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word b = pop();
-        const Word a = pop();
-        Word out = 0;
-        switch (op) {
-          case Op::Add: out = a + b; break;
-          case Op::Sub: out = a - b; break;
-          case Op::Mul: out = a * b; break;
-          case Op::Div:
-            if (b == 0) return trap(Halt::DivideByZero);
-            out = a / b;
-            break;
-          case Op::Mod:
-            if (b == 0) return trap(Halt::DivideByZero);
-            out = a % b;
-            break;
-          case Op::Lt: out = a < b ? 1 : 0; break;
-          case Op::Gt: out = a > b ? 1 : 0; break;
-          case Op::Eq: out = a == b ? 1 : 0; break;
-          case Op::And: out = a & b; break;
-          case Op::Or: out = a | b; break;
-          case Op::Xor: out = a ^ b; break;
-          case Op::Shl: out = b >= 64 ? 0 : a << b; break;
-          case Op::Shr: out = b >= 64 ? 0 : a >> b; break;
-          default: break;
-        }
-        stack.push_back(out);
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] += stack[sp];
         break;
-      }
+      case Op::Sub:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] -= stack[sp];
+        break;
+      case Op::Mul:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] *= stack[sp];
+        break;
+      case Op::Div:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        if (stack[sp - 1] == 0) return finish(Halt::DivideByZero);
+        --sp;
+        stack[sp - 1] /= stack[sp];
+        break;
+      case Op::Mod:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        if (stack[sp - 1] == 0) return finish(Halt::DivideByZero);
+        --sp;
+        stack[sp - 1] %= stack[sp];
+        break;
+      case Op::Lt:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] = stack[sp - 1] < stack[sp] ? 1 : 0;
+        break;
+      case Op::Gt:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] = stack[sp - 1] > stack[sp] ? 1 : 0;
+        break;
+      case Op::Eq:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] = stack[sp - 1] == stack[sp] ? 1 : 0;
+        break;
+      case Op::And:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] &= stack[sp];
+        break;
+      case Op::Or:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] |= stack[sp];
+        break;
+      case Op::Xor:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] ^= stack[sp];
+        break;
+      case Op::Shl:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] = stack[sp] >= 64 ? 0 : stack[sp - 1] << stack[sp];
+        break;
+      case Op::Shr:
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        --sp;
+        stack[sp - 1] = stack[sp] >= 64 ? 0 : stack[sp - 1] >> stack[sp];
+        break;
 
       case Op::IsZero:
-      case Op::Not: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word a = pop();
-        stack.push_back(op == Op::IsZero ? (a == 0 ? 1 : 0) : ~a);
+        if (sp < 1) return finish(Halt::StackUnderflow);
+        stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0;
         break;
-      }
+      case Op::Not:
+        if (sp < 1) return finish(Halt::StackUnderflow);
+        stack[sp - 1] = ~stack[sp - 1];
+        break;
 
       case Op::Jump: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word target = pop();
-        if (target >= code.size() || !targets[static_cast<std::size_t>(target)])
-          return trap(Halt::BadJump);
-        next_pc = static_cast<std::size_t>(target);
+        if (sp < 1) return finish(Halt::StackUnderflow);
+        const Word target = stack[--sp];
+        if (!program.is_boundary(target)) return finish(Halt::BadJump);
+        i = program.instr_at[static_cast<std::size_t>(target)];
         break;
       }
 
       case Op::JumpI: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word target = pop();
-        const Word cond = pop();
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        const Word target = stack[sp - 1];
+        const Word cond = stack[sp - 2];
+        sp -= 2;
         if (cond != 0) {
-          if (target >= code.size() ||
-              !targets[static_cast<std::size_t>(target)])
-            return trap(Halt::BadJump);
-          next_pc = static_cast<std::size_t>(target);
+          if (!program.is_boundary(target)) return finish(Halt::BadJump);
+          i = program.instr_at[static_cast<std::size_t>(target)];
         }
         break;
       }
 
       case Op::CallDataLoad: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word index = pop();
-        stack.push_back(index < ctx.calldata.size()
+        if (sp < 1) return finish(Halt::StackUnderflow);
+        const Word index = stack[sp - 1];
+        stack[sp - 1] = index < ctx.calldata.size()
                             ? ctx.calldata[static_cast<std::size_t>(index)]
-                            : 0);
+                            : 0;
         break;
       }
 
       case Op::CallDataSize:
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        stack.push_back(ctx.calldata.size());
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(ctx.calldata.size());
         break;
 
       case Op::SLoad: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word key = pop();
-        if (ctx.trace != nullptr) ctx.trace->reads.insert(key);
-        auto it = working.find(key);
-        stack.push_back(it == working.end() ? 0 : it->second);
+        if (sp < 1) return finish(Halt::StackUnderflow);
+        const Word key = stack[sp - 1];
+        if (trace != nullptr) trace->reads.insert(key);
+        auto it = storage.find(key);
+        stack[sp - 1] = it == storage.end() ? 0 : it->second;
         break;
       }
 
       case Op::SxLoad: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word target = pop();
-        const Word key = pop();
-        if (ctx.trace != nullptr) ctx.trace->foreign_reads.emplace(target, key);
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        const Word target = stack[sp - 1];
+        const Word key = stack[sp - 2];
+        sp -= 2;
+        if (trace != nullptr) trace->foreign_reads.emplace(target, key);
         const std::optional<Word> value = host.foreign_storage(target, key);
-        if (!value.has_value()) return trap(Halt::OracleFailure);
-        stack.push_back(*value);
+        if (!value.has_value()) return finish(Halt::OracleFailure);
+        push(*value);
         break;
       }
 
       case Op::SStore: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word key = pop();
-        const Word value = pop();
-        if (ctx.trace != nullptr) ctx.trace->writes.insert(key);
+        if (sp < 2) return finish(Halt::StackUnderflow);
+        const Word key = stack[sp - 1];
+        const Word value = stack[sp - 2];
+        sp -= 2;
+        if (trace != nullptr) trace->writes.insert(key);
         if (value == 0)
-          working.erase(key);
+          storage.erase(key);
         else
-          working[key] = value;
+          storage[key] = value;
         break;
       }
 
+      // Environment reads grow the stack like PUSH and need the same
+      // overflow trap (a CALLER-flood program must not blow the cap).
       case Op::Caller:
-      case Op::CallValue:
-      case Op::Height:
-      case Op::Timestamp:
-      case Op::GasLeft: {
-        // Environment reads grow the stack like PUSH and need the same
-        // overflow trap (a CALLER-flood program must not blow the cap).
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        Word v = 0;
-        switch (op) {
-          case Op::Caller: v = ctx.caller; break;
-          case Op::CallValue: v = ctx.call_value; break;
-          case Op::Height: v = ctx.height; break;
-          case Op::Timestamp: v = ctx.time_ms; break;
-          case Op::GasLeft: v = ctx.gas_limit - gas; break;
-          default: break;
-        }
-        stack.push_back(v);
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(ctx.caller);
         break;
-      }
+      case Op::CallValue:
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(ctx.call_value);
+        break;
+      case Op::Height:
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(ctx.height);
+        break;
+      case Op::Timestamp:
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(ctx.time_ms);
+        break;
+      case Op::GasLeft:
+        if (sp >= kMaxStack) return finish(Halt::StackOverflow);
+        push(ctx.gas_limit - gas);
+        break;
 
       case Op::Emit: {
-        const std::size_t n = static_cast<std::size_t>(imm);
-        if (!need(n + 1)) return trap(Halt::StackUnderflow);
+        const auto n = static_cast<std::size_t>(in.imm);
+        if (sp < n + 1) return finish(Halt::StackUnderflow);
         Event ev;
         ev.contract_id = ctx.contract_id;
         ev.height = ctx.height;
-        ev.topic = pop();
-        ev.args.resize(n);
-        for (std::size_t i = 0; i < n; ++i) ev.args[n - 1 - i] = pop();
+        ev.topic = stack[--sp];
+        ev.args.assign(stack.begin() + static_cast<std::ptrdiff_t>(sp - n),
+                       stack.begin() + static_cast<std::ptrdiff_t>(sp));
+        sp -= n;
         events.push_back(std::move(ev));
         break;
       }
 
       case Op::HashN: {
-        const std::size_t n = static_cast<std::size_t>(imm);
-        if (n == 0 || !need(n)) return trap(Halt::StackUnderflow);
+        const auto n = static_cast<std::size_t>(in.imm);
+        if (n == 0 || sp < n) return finish(Halt::StackUnderflow);
         ByteWriter w;
-        for (std::size_t i = 0; i < n; ++i)
-          w.u64(stack[stack.size() - n + i]);
-        stack.resize(stack.size() - n);
-        stack.push_back(crypto::sha256(BytesView(w.data())).prefix_u64());
+        for (std::size_t k = sp - n; k < sp; ++k) w.u64(stack[k]);
+        sp -= n;
+        push(crypto::sha256(BytesView(w.data())).prefix_u64());
         break;
       }
 
       case Op::Oracle: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word request = pop();
-        const std::optional<Word> reply = host.oracle(request);
-        if (!reply.has_value()) return trap(Halt::OracleFailure);
-        stack.push_back(*reply);
+        if (sp < 1) return finish(Halt::StackUnderflow);
+        const std::optional<Word> reply = host.oracle(stack[sp - 1]);
+        if (!reply.has_value()) return finish(Halt::OracleFailure);
+        stack[sp - 1] = *reply;
         break;
       }
 
       case Op::Return: {
-        const std::size_t n = static_cast<std::size_t>(imm);
-        if (!need(n)) return trap(Halt::StackUnderflow);
-        result.returned.assign(stack.end() - static_cast<std::ptrdiff_t>(n),
-                               stack.end());
-        storage = std::move(working);
-        for (const auto& ev : events) host.on_event(ev);
-        result.halt = Halt::Return;
-        result.gas_used = gas;
-        return result;
+        const auto n = static_cast<std::size_t>(in.imm);
+        if (sp < n) return finish(Halt::StackUnderflow);
+        result.returned.assign(
+            stack.begin() + static_cast<std::ptrdiff_t>(sp - n),
+            stack.begin() + static_cast<std::ptrdiff_t>(sp));
+        return finish(Halt::Return);
       }
 
       case Op::Revert:
-        return trap(Halt::Revert);
+        return finish(Halt::Revert);
     }
-    if (ctx.trace != nullptr)
-      ctx.trace->max_stack = std::max(ctx.trace->max_stack, stack.size());
-    pc = next_pc;
   }
 
   // Falling off the end behaves like STOP.
-  storage = std::move(working);
-  for (const auto& ev : events) host.on_event(ev);
-  result.halt = Halt::Stop;
-  result.gas_used = gas;
-  return result;
+  return finish(Halt::Stop);
 }
 
 }  // namespace mc::vm

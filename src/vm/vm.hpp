@@ -15,10 +15,9 @@
 
 #include "common/bytes.hpp"
 #include "vm/opcode.hpp"
+#include "vm/program.hpp"
 
 namespace mc::vm {
-
-using Word = std::uint64_t;
 
 /// Hard cap on the operand stack; pushing past it traps StackOverflow.
 /// Shared with the static analyzer, whose stack bounds are proven
@@ -121,13 +120,23 @@ class NullHost : public Host {
   void on_event(const Event&) override {}
 };
 
-/// Execute `code` against `storage`. On any failure halt, storage changes
-/// made during the run are rolled back (all-or-nothing semantics).
-/// Emitted events are delivered to the host only on success.
+/// Execute `program` with `storage` as its working state: writes land in
+/// `storage` as they execute, a trapped run's included, so callers that
+/// need all-or-nothing semantics pass a copy they drop on failure
+/// (ContractStore does). Emitted events are delivered to the host only
+/// on success.
+ExecResult execute(const Program& program, Storage& storage,
+                   const ExecContext& ctx, Host& host);
+
+/// Decode `code` and execute it on a copy of `storage`, committed on
+/// success: on any failure halt, storage changes made during the run are
+/// rolled back (all-or-nothing semantics). For tests and fuzz harnesses;
+/// deployed contracts run over the Program decoded at deployment.
 ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
                    Host& host);
 
-/// Static bytecode sanity check: opcodes defined, immediates in bounds.
+/// Static bytecode sanity check: opcodes defined, immediates in bounds
+/// (Program::well_formed of the decoded code).
 bool code_well_formed(BytesView code);
 
 }  // namespace mc::vm

@@ -555,10 +555,10 @@ TEST(Admission, StoredReportMatchesAFreshAnalysis) {
   const Word id = store.deploy(contracts::PolicyContract::bytecode(), 1, 1);
   const DeployedContract* dc = store.contract(id);
   ASSERT_NE(dc, nullptr);
-  const AnalysisReport fresh = analysis::analyze(BytesView(dc->code));
-  EXPECT_EQ(dc->report.gas.max, fresh.gas.max);
-  EXPECT_EQ(dc->report.stack.max_depth, fresh.stack.max_depth);
-  EXPECT_EQ(dc->report.footprint.entries.size(),
+  const AnalysisReport fresh = analysis::analyze(BytesView(dc->code->bytes));
+  EXPECT_EQ(dc->code->report.gas.max, fresh.gas.max);
+  EXPECT_EQ(dc->code->report.stack.max_depth, fresh.stack.max_depth);
+  EXPECT_EQ(dc->code->report.footprint.entries.size(),
             fresh.footprint.entries.size());
 }
 

@@ -153,13 +153,9 @@ constexpr Pinned kPinned[] = {
     {"jump_to_bad_opcode", "steps",
      "halt=bad-opcode gas=11 steps=2 ret=[] ev=[] st={1:7,42:9} rd={} wr={} fr={} max=1"},
     {"mixed_ops", "harness",
-     "halt=return gas=627 steps=36 ret=[2379622119887459287,2379622119887459287] ev=[11:2748@44(9,4992)] st={3:17874887412729673111,42:9} rd={42} wr={1,3} fr={5/9} max=6"},
+     "halt=return gas=669 steps=50 ret=[98028494036,98028494036] ev=[11:2748@44(9,4992)] st={3:17874887412729673111,42:9} rd={42} wr={1,3} fr={5/9} max=6"},
     {"mixed_ops", "steps",
-     "halt=return gas=627 steps=36 ret=[4397511704928145093,4397511704928145093] ev=[11:2748@44(9,4992)] st={3:12098995454731735579,42:9} rd={42} wr={1,3} fr={5/9} max=6"},
-    {"patient_record_mix", "harness",
-     "halt=stop gas=360 steps=63 ret=[] ev=[] st={1:7,42:9,243588248622342777:6961195385} rd={243588248622342777} wr={243588248622342777} fr={} max=4"},
-    {"patient_record_mix", "steps",
-     "halt=stop gas=360 steps=63 ret=[] ev=[] st={1:7,42:9,243588248622342777:6961195385} rd={243588248622342777} wr={243588248622342777} fr={} max=4"},
+     "halt=return gas=669 steps=50 ret=[43223597501,43223597501] ev=[11:2748@44(9,4992)] st={3:12098995454731735579,42:9} rd={42} wr={1,3} fr={5/9} max=6"},
     {"policy_bytecode", "harness",
      "halt=return gas=282 steps=28 ret=[1] ev=[11:100@44(2,22)] st={1:7,42:9,18049411314830875541:22} rd={18049411314830875541} wr={18049411314830875541} fr={} max=4"},
     {"policy_bytecode", "steps",

@@ -22,7 +22,8 @@
 //                            headers must be [[nodiscard]] — a dropped
 //                            verdict on an untrusted-input path is a
 //                            vulnerability, not a style issue.
-//   vm-direct-execute        raw vm::execute calls are banned outside
+//   vm-direct-execute        raw vm::execute calls (bytecode or decoded
+//                            Program overload) are banned outside
 //                            vm/ — contract code runs through
 //                            ContractStore::deploy/call so the static
 //                            analyzer's admission gate (and, in audit

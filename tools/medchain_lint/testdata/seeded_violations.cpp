@@ -28,7 +28,10 @@ void assert_violation(int x) {
 void vm_bypass_violation() {
   auto r = vm::execute(code, storage, ctx, host);   // expect(vm-direct-execute)
   auto q = mc::vm::execute(code, storage, ctx, host);  // expect(vm-direct-execute)
-  (void)r; (void)q;
+  // The decoded-program overload skips admission just the same.
+  auto p = vm::execute(dc.code->program, storage, ctx, host);  // expect(vm-direct-execute)
+  auto d = vm::execute(vm::decode_program(code), storage, ctx, host);  // expect(vm-direct-execute)
+  (void)r; (void)q; (void)p; (void)d;
   store.call(id, ctx, host);  // admission path: must not fire
 }
 
