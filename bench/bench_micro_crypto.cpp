@@ -3,6 +3,7 @@
 
 #include "chain/block.hpp"
 #include "chain/block_validator.hpp"
+#include "chain/state.hpp"
 #include "chain/transaction.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -63,6 +64,32 @@ void BM_MerkleBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MerkleBuild)->Arg(64)->Arg(1024)->Arg(8192);
+
+// Ledger state commitment (WorldState::digest) at the produce_clinic
+// shape: 4,097 accounts, args = anchor count. Runs on whichever
+// single-stream kernel the process backend selects, so the forced-
+// portable run is the scalar row and the default run the native one.
+void BM_LedgerDigest(benchmark::State& state) {
+  Rng rng(4097);
+  chain::WorldState ledger;
+  std::vector<Address> owners;
+  for (int i = 0; i < 4097; ++i) {
+    Address a;
+    for (auto& b : a.data) b = static_cast<std::uint8_t>(rng.next());
+    ledger.set_account(a, chain::Account{rng.uniform(1ULL << 40),
+                                         rng.uniform(1000)});
+    owners.push_back(a);
+  }
+  for (std::int64_t h = 0; h < state.range(0); ++h) {
+    Hash256 d;
+    for (auto& b : d.data) b = static_cast<std::uint8_t>(rng.next());
+    ledger.record_anchor(owners[rng.uniform(owners.size())], d,
+                         static_cast<chain::Height>(h));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(ledger.digest());
+  state.SetLabel(stream_kernel_name());
+}
+BENCHMARK(BM_LedgerDigest)->Arg(0)->Arg(2000)->Unit(benchmark::kMicrosecond);
 
 // --- Multi-lane batch engine A/B (DESIGN.md §15, EXPERIMENTS.md C10) ---
 //

@@ -9,7 +9,9 @@
 // equal-length grouping; repeated selectors produce full SIMD lane
 // groups. The derived digests are then folded once through
 // sha256_merkle_level so the pair path is cross-checked on the same
-// input.
+// input. Each message is also fed through an incremental Sha256 split
+// at a fuzz-chosen offset (from the pool), so the single-stream kernel
+// is checked against the portable digest on every backend as well.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,6 +55,15 @@ int sha256_many(const std::uint8_t* data, std::size_t size) {
       ++cursor;
     }
   }
+  const auto split_digest = [&](std::size_t i) {
+    const BytesView msg(inputs[i]);
+    const std::size_t split =
+        pool_size ? pool[i % pool_size] % (msg.size() + 1) : msg.size() / 2;
+    crypto::Sha256 ctx;
+    ctx.update(msg.first(split));
+    ctx.update(msg.subspan(split));
+    return ctx.finalize();
+  };
 
   BackendGuard guard;
   crypto::set_hash_backend(crypto::HashBackend::kPortable);
@@ -60,9 +71,12 @@ int sha256_many(const std::uint8_t* data, std::size_t size) {
   const std::vector<Hash256> reference = crypto::sha256_many(inputs);
   MC_FUZZ_EXPECT(crypto::Sha256::digest_count() - before == count,
                  "portable batch must count one digest per message");
-  for (std::size_t i = 0; i < count; ++i)
+  for (std::size_t i = 0; i < count; ++i) {
     MC_FUZZ_EXPECT(reference[i] == crypto::sha256(BytesView(inputs[i])),
                    "portable batch must equal one-shot sha256");
+    MC_FUZZ_EXPECT(split_digest(i) == reference[i],
+                   "portable split stream must equal one-shot sha256");
+  }
 
   std::vector<Hash256> ref_level((count + 1) / 2);
   crypto::sha256_merkle_level(reference.data(), count, ref_level.data());
@@ -80,6 +94,9 @@ int sha256_many(const std::uint8_t* data, std::size_t size) {
     crypto::sha256_merkle_level(reference.data(), count, level.data());
     MC_FUZZ_EXPECT(level == ref_level,
                    "Merkle level must be backend-independent");
+    for (std::size_t i = 0; i < count; ++i)
+      MC_FUZZ_EXPECT(split_digest(i) == reference[i],
+                     "single-stream digest must equal the portable digest");
   }
   return 0;
 }

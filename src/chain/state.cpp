@@ -1,9 +1,9 @@
 #include "chain/state.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "audit/check.hpp"
-#include "common/serial.hpp"
 #include "crypto/sha256.hpp"
 
 namespace mc::chain {
@@ -173,23 +173,60 @@ void WorldState::record_anchor(const Address& owner, const Hash256& digest,
 }
 
 Hash256 WorldState::digest() const {
-  // Sort accounts by address for a canonical ordering.
-  std::vector<std::pair<Address, Account>> sorted(accounts_.begin(),
-                                                  accounts_.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  ByteWriter w;
-  for (const auto& [addr, acct] : sorted) {
-    w.raw(BytesView(addr.data));
-    w.u64(acct.balance);
-    w.u64(acct.nonce);
+  // Canonical order: accounts ascending by address. Sort 16-byte keys
+  // (big-endian first 8 address bytes + entry pointer) instead of copied
+  // (Address, Account) pairs; equal prefixes fall back to the remaining
+  // 12 bytes, so the order is exactly Address's byte-wise <=>.
+  using Entry = std::unordered_map<Address, Account>::value_type;
+  struct Key {
+    std::uint64_t prefix;
+    const Entry* entry;
+  };
+  std::vector<Key> keys;
+  keys.reserve(accounts_.size());
+  for (const Entry& e : accounts_) {
+    std::uint64_t prefix = 0;
+    for (int i = 0; i < 8; ++i)
+      prefix = (prefix << 8) | e.first.data[static_cast<std::size_t>(i)];
+    keys.push_back(Key{prefix, &e});
   }
-  for (const auto& anchor : anchors_) {
-    w.raw(BytesView(anchor.owner.data));
-    w.hash(anchor.digest);
-    w.u64(anchor.height);
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    return std::memcmp(a.entry->first.data.data() + 8,
+                       b.entry->first.data.data() + 8, 12) < 0;
+  });
+
+  // Stream the encoding (address || balance || nonce per account, then
+  // owner || digest || height per anchor, integers little-endian) into
+  // one hash through a fixed stack chunk.
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kMaxRecord = 20 + 32 + 8;
+  std::uint8_t chunk[kChunk];
+  std::size_t used = 0;
+  crypto::Sha256 ctx;
+  const auto room_for_record = [&] {
+    if (used + kMaxRecord <= kChunk) return;
+    ctx.update(BytesView(chunk, used));
+    used = 0;
+  };
+  for (const Key& k : keys) {
+    room_for_record();
+    std::uint8_t* p = chunk + used;
+    std::memcpy(p, k.entry->first.data.data(), 20);
+    store_le(p + 20, k.entry->second.balance);
+    store_le(p + 28, k.entry->second.nonce);
+    used += 36;
   }
-  return crypto::sha256(BytesView(w.data()));
+  for (const AnchorRecord& anchor : anchors_) {
+    room_for_record();
+    std::uint8_t* p = chunk + used;
+    std::memcpy(p, anchor.owner.data.data(), 20);
+    std::memcpy(p + 20, anchor.digest.data.data(), 32);
+    store_le(p + 52, anchor.height);
+    used += 60;
+  }
+  ctx.update(BytesView(chunk, used));
+  return ctx.finalize();
 }
 
 }  // namespace mc::chain

@@ -1,7 +1,11 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+
+#include "crypto/sha256_batch.hpp"
+#include "crypto/sha256_lanes.hpp"
 
 namespace mc::crypto {
 namespace {
@@ -37,22 +41,7 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-void Sha256::reset() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void compress_scalar(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -68,8 +57,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -88,14 +77,54 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+bool use_shani() noexcept {
+#ifdef MC_SHA256_X86
+  static const bool has_sha_ni = detail::cpu_has_sha_ni();
+  return has_sha_ni && hash_backend() != HashBackend::kPortable;
+#else
+  return false;
+#endif
+}
+
+/// Compress `n` consecutive 64-byte blocks into `state`.
+void compress(std::uint32_t* state, const std::uint8_t* blocks,
+              std::size_t n) {
+#ifdef MC_SHA256_X86
+  if (use_shani()) {
+    detail::sha256_xform_shani(state, blocks, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) compress_scalar(state, blocks + 64 * i);
+}
+
+}  // namespace
+
+void Sha256::reset() {
+  state_[0] = 0x6a09e667;
+  state_[1] = 0xbb67ae85;
+  state_[2] = 0x3c6ef372;
+  state_[3] = 0xa54ff53a;
+  state_[4] = 0x510e527f;
+  state_[5] = 0x9b05688c;
+  state_[6] = 0x1f83d9ab;
+  state_[7] = 0x5be0cd19;
+  total_len_ = 0;
+  buffer_len_ = 0;
+}
+
+const char* stream_kernel_name() noexcept {
+  return use_shani() ? "shani" : "scalar";
 }
 
 Sha256& Sha256::update(BytesView data) {
@@ -103,43 +132,45 @@ Sha256& Sha256::update(BytesView data) {
   // through HashWriter); memcpy forbids null even for length 0.
   if (data.empty()) return *this;
   total_len_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   if (buffer_len_ > 0) {
-    const std::size_t need = 64 - buffer_len_;
-    const std::size_t take = std::min(need, data.size());
-    std::memcpy(buffer_ + buffer_len_, data.data(), take);
+    const std::size_t take = std::min(64 - buffer_len_, n);
+    std::memcpy(buffer_ + buffer_len_, p, take);
     buffer_len_ += take;
-    offset = take;
-    if (buffer_len_ == 64) {
-      process_block(buffer_);
-      buffer_len_ = 0;
-    }
+    p += take;
+    n -= take;
+    if (buffer_len_ < 64) return *this;
+    compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t full = n / 64;
+  if (full > 0) {
+    compress(state_, p, full);
+    p += 64 * full;
+    n -= 64 * full;
   }
-  if (offset < data.size()) {
-    std::memcpy(buffer_, data.data() + offset, data.size() - offset);
-    buffer_len_ = data.size() - offset;
+  if (n > 0) {
+    std::memcpy(buffer_, p, n);
+    buffer_len_ = n;
   }
   return *this;
 }
 
 Hash256 Sha256::finalize() {
   g_digest_count.fetch_add(1, std::memory_order_relaxed);
+  // Pad in place: 0x80, zero fill, then the big-endian bit length in the
+  // last 8 bytes — one block, or two when fewer than 9 bytes remain.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(BytesView(&zero, 1));
-
-  std::uint8_t len_be[8];
+  const std::size_t blocks = buffer_len_ < 56 ? 1 : 2;
+  std::uint8_t tail[128];
+  std::memcpy(tail, buffer_, buffer_len_);
+  tail[buffer_len_] = 0x80;
+  std::memset(tail + buffer_len_ + 1, 0, 64 * blocks - 8 - buffer_len_ - 1);
   for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // Bypass the length-counting update for the final length field.
-  std::memcpy(buffer_ + 56, len_be, 8);
-  process_block(buffer_);
+    tail[64 * blocks - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  compress(state_, tail, blocks);
   buffer_len_ = 0;
 
   Hash256 out;

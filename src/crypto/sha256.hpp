@@ -3,6 +3,13 @@
 // Used for block hashing, Merkle trees, dataset anchoring and proof-of-work.
 // This is the full standard construction (real test vectors are covered in
 // tests/crypto_test.cpp).
+//
+// Every run of full 64-byte blocks goes through one compression call. On
+// x86-64 hosts with the SHA extensions it runs the SHA-NI kernel
+// (crypto/sha256_x86.cpp); otherwise, and whenever the hash backend is
+// forced to kPortable (crypto/sha256_batch.hpp), it runs the scalar
+// round function in sha256.cpp — the reference semantics. Digests never depend
+// on which kernel ran (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -38,13 +45,16 @@ class Sha256 {
   // The midstate sweep resumes state_/buffer_ across SIMD lanes.
   friend class Sha256Midstate;
 
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t state_[8];
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64];
   std::size_t buffer_len_ = 0;
 };
+
+/// Kernel the single-stream compression runs on under the current hash
+/// backend: "shani" or "scalar". Read-only; selection follows
+/// hash_backend() and the CPU.
+[[nodiscard]] const char* stream_kernel_name() noexcept;
 
 /// One-shot convenience digest.
 Hash256 sha256(BytesView data);

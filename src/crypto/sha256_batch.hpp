@@ -27,12 +27,15 @@
 
 namespace mc::crypto {
 
-/// Which hashing backend batch calls should use. Coarse A/B surface:
-/// kPortable vs kSimd/kAuto; kSse2/kAvx2 pin a specific kernel for
-/// lane-width sweeps (bench_micro_crypto) and targeted tests.
+/// Which hashing backend batch calls and single streams should use.
+/// Coarse A/B surface: kPortable vs kSimd/kAuto; kSse2/kAvx2 pin a
+/// specific batch kernel for lane-width sweeps (bench_micro_crypto) and
+/// targeted tests. Single-stream Sha256 runs on SHA-NI under every
+/// value except kPortable when the CPU has it (stream_kernel_name()).
 enum class HashBackend {
   kAuto = 0,  ///< widest kernel the CPU supports (default)
-  kPortable,  ///< scalar Sha256 only — the reference semantics
+  kPortable,  ///< scalar round function only, batches and single
+              ///< streams alike — the reference semantics
   kSimd,      ///< widest SIMD kernel; scalar only when the CPU has none
   kSse2,      ///< cap at the 4-lane SSE2 kernel
   kAvx2,      ///< prefer the 8-lane AVX2 kernel

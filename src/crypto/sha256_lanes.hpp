@@ -1,6 +1,7 @@
-// Internal contract between the batch dispatcher (sha256_batch.cpp) and
-// the architecture-specific interleaved kernels (sha256_x86.cpp). Not a
-// public API — include crypto/sha256_batch.hpp instead.
+// Internal contract between the dispatchers (sha256.cpp for single
+// streams, sha256_batch.cpp for batches) and the architecture-specific
+// kernels (sha256_x86.cpp). Not a public API — include crypto/sha256.hpp
+// or crypto/sha256_batch.hpp instead.
 #pragma once
 
 #include <cstddef>
@@ -9,7 +10,7 @@
 namespace mc::crypto::detail {
 
 /// FIPS 180-4 round constants and initial state, shared by the
-/// interleaved kernels (the scalar Sha256 keeps its own local copy).
+/// x86 kernels (the scalar Sha256 keeps its own local copy).
 extern const std::uint32_t kSha256K[64];
 extern const std::uint32_t kSha256Iv[8];
 
@@ -28,8 +29,15 @@ void sha256_xform_avx2_x8(std::uint32_t* states,
                           const std::uint8_t* const* data,
                           std::size_t blocks);
 
-/// Runtime CPUID probe (cached by the caller's dispatch).
+// Single-stream SHA-NI kernel: `blocks` consecutive 64-byte message
+// blocks compressed into one FIPS 180-4 state (state[0..7] = a..h).
+// Callers must check cpu_has_sha_ni() first.
+void sha256_xform_shani(std::uint32_t* state, const std::uint8_t* data,
+                        std::size_t blocks);
+
+/// Runtime CPUID probes (cached by the caller's dispatch).
 [[nodiscard]] bool cpu_has_avx2() noexcept;
+[[nodiscard]] bool cpu_has_sha_ni() noexcept;
 
 #endif  // x86-64
 

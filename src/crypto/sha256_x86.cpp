@@ -1,17 +1,26 @@
-// Interleaved SHA-256 compression kernels for x86-64: 4 lanes across
-// SSE2 128-bit vectors, 8 lanes across AVX2 256-bit vectors. One state
-// word per vector element — each lane runs the exact scalar FIPS 180-4
-// schedule and round function, so digests are bit-identical to the
-// portable Sha256 by construction (see crypto/sha256_batch.hpp).
+// SHA-256 compression kernels for x86-64.
+//
+// Interleaved (batch) kernels: 4 lanes across SSE2 128-bit vectors, 8
+// lanes across AVX2 256-bit vectors. One state word per vector element —
+// each lane runs the exact scalar FIPS 180-4 schedule and round function,
+// so digests are bit-identical to the portable Sha256 by construction
+// (see crypto/sha256_batch.hpp).
+//
+// Single-stream kernel: the SHA extensions (SHA-NI) run one message's
+// rounds two at a time in hardware (sha256rnds2) and expand its schedule
+// with sha256msg1/msg2. Equivalence with the scalar transform rests on
+// FIPS 180-4 itself plus the cross-backend tests in tests/crypto_test.cpp.
 //
 // SSE2 is part of the x86-64 baseline ABI, so that kernel compiles
-// unconditionally; the AVX2 kernel is emitted with a per-function
-// target attribute and only ever called after the CPUID probe says the
-// host supports it (sha256_batch.cpp dispatch).
+// unconditionally; the AVX2 and SHA-NI kernels are emitted with
+// per-function target attributes and only ever called after a CPUID
+// probe says the host supports them (sha256_batch.cpp / sha256.cpp
+// dispatch).
 #include "crypto/sha256_lanes.hpp"
 
 #ifdef MC_SHA256_X86
 
+#include <cpuid.h>
 #include <immintrin.h>
 
 namespace mc::crypto::detail {
@@ -219,7 +228,74 @@ MC_AVX2 void sha256_xform_avx2_x8(std::uint32_t* states,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(states + 8 * i), s[i]);
 }
 
+// ---- single-stream SHA-NI -------------------------------------------------
+
+#define MC_SHANI __attribute__((target("sha,sse4.1")))
+
+MC_SHANI void sha256_xform_shani(std::uint32_t* state,
+                                 const std::uint8_t* data,
+                                 std::size_t blocks) {
+  // Byte-swap each 32-bit word of a message block (big-endian words).
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+  // The round instructions take the state as ABEF / CDGH word pairs.
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (std::size_t blk = 0; blk < blocks; ++blk, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // msg[g % 4] holds schedule words W[4g .. 4g+3] for round group g.
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4)
+        msg[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      __m128i wk = _mm_add_epi32(
+          msg[g % 4],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSha256K + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g <= 14) {  // finish W for group g + 1
+        __m128i& next = msg[(g + 1) % 4];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(msg[g % 4], msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, msg[g % 4]);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (g >= 1 && g <= 12)  // start W for group g + 3
+        msg[(g + 3) % 4] = _mm_sha256msg1_epu32(msg[(g + 3) % 4], msg[g % 4]);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
 bool cpu_has_avx2() noexcept { return __builtin_cpu_supports("avx2") != 0; }
+
+bool cpu_has_sha_ni() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return sse41 && (ebx & bit_SHA) != 0;
+}
 
 }  // namespace mc::crypto::detail
 

@@ -1,7 +1,10 @@
 // Crypto substrate tests: standard vectors plus protocol properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/hex.hpp"
@@ -17,30 +20,67 @@
 namespace mc::crypto {
 namespace {
 
-// --- SHA-256 (FIPS 180-4 / NIST vectors) ---
+/// Force a backend for one scope and restore the previous one on exit,
+/// so test order never leaks backend state.
+class ScopedHashBackend {
+ public:
+  explicit ScopedHashBackend(HashBackend backend) : prev_(hash_backend()) {
+    set_hash_backend(backend);
+  }
+  ~ScopedHashBackend() { set_hash_backend(prev_); }
+  ScopedHashBackend(const ScopedHashBackend&) = delete;
+  ScopedHashBackend& operator=(const ScopedHashBackend&) = delete;
+
+ private:
+  HashBackend prev_;
+};
+
+/// The two single-stream kernels: the scalar reference and whatever the
+/// host selects natively (SHA-NI when present, else scalar again).
+constexpr HashBackend kStreamBackends[] = {HashBackend::kPortable,
+                                           HashBackend::kAuto};
+
+// --- SHA-256 (FIPS 180-4 / NIST vectors, on both stream kernels) ---
 
 TEST(Sha256, EmptyString) {
-  EXPECT_EQ(to_hex(sha256("")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  for (const HashBackend backend : kStreamBackends) {
+    ScopedHashBackend scope(backend);
+    EXPECT_EQ(to_hex(sha256("")),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        << stream_kernel_name();
+  }
 }
 
 TEST(Sha256, Abc) {
-  EXPECT_EQ(to_hex(sha256("abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (const HashBackend backend : kStreamBackends) {
+    ScopedHashBackend scope(backend);
+    EXPECT_EQ(to_hex(sha256("abc")),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        << stream_kernel_name();
+  }
 }
 
 TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(to_hex(sha256(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (const HashBackend backend : kStreamBackends) {
+    ScopedHashBackend scope(backend);
+    EXPECT_EQ(
+        to_hex(sha256(
+            "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+        << stream_kernel_name();
+  }
 }
 
 TEST(Sha256, MillionAs) {
-  Sha256 ctx;
-  const std::string chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) ctx.update(chunk);
-  EXPECT_EQ(to_hex(ctx.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (const HashBackend backend : kStreamBackends) {
+    ScopedHashBackend scope(backend);
+    Sha256 ctx;
+    const std::string chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) ctx.update(chunk);
+    EXPECT_EQ(to_hex(ctx.finalize()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+        << stream_kernel_name();
+  }
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
@@ -66,21 +106,6 @@ TEST(Sha256, DoubleHashAndPair) {
 }
 
 // --- Multi-lane batch engine (DESIGN.md §15) ---
-
-/// Force a backend for one scope and restore the previous one on exit,
-/// so test order never leaks backend state.
-class ScopedHashBackend {
- public:
-  explicit ScopedHashBackend(HashBackend backend) : prev_(hash_backend()) {
-    set_hash_backend(backend);
-  }
-  ~ScopedHashBackend() { set_hash_backend(prev_); }
-  ScopedHashBackend(const ScopedHashBackend&) = delete;
-  ScopedHashBackend& operator=(const ScopedHashBackend&) = delete;
-
- private:
-  HashBackend prev_;
-};
 
 /// Every backend worth exercising on this host. Forcing a kernel the CPU
 /// lacks degrades down the ladder, so listing all of them is always safe
@@ -236,6 +261,74 @@ TEST(Sha256Batch, BackendSelectionSurface) {
   const HashKernel kernel = active_hash_kernel();
   EXPECT_EQ(hash_lane_width(), static_cast<std::size_t>(kernel));
   EXPECT_STRNE(hash_kernel_name(kernel), "unknown");
+}
+
+// --- Single-stream kernel (DESIGN.md §15) ---
+
+/// Sha256 over `data` fed in seeded random-length update() pieces
+/// (zero-length pieces included), so block seams land everywhere.
+Hash256 sha256_split(BytesView data, std::uint64_t seed,
+                     std::size_t max_piece) {
+  Rng rng(seed);
+  Sha256 ctx;
+  std::size_t offset = 0;
+  while (offset < data.size()) {
+    const std::size_t take = std::min<std::size_t>(
+        rng.uniform(max_piece + 1), data.size() - offset);
+    ctx.update(data.subspan(offset, take));
+    offset += take;
+  }
+  return ctx.finalize();
+}
+
+/// Kernel Sha256 runs on under `backend`.
+std::string stream_kernel_under(HashBackend backend) {
+  ScopedHashBackend scope(backend);
+  return stream_kernel_name();
+}
+
+TEST(Sha256Stream, KernelSelection) {
+  const std::string native = stream_kernel_under(HashBackend::kAuto);
+  RecordProperty("stream_kernel", native);
+  std::printf("[          ] single-stream kernel under auto: %s\n",
+              native.c_str());
+  EXPECT_TRUE(native == "shani" || native == "scalar") << native;
+  // Forcing portable always selects the scalar reference.
+  EXPECT_EQ(stream_kernel_under(HashBackend::kPortable), "scalar");
+}
+
+TEST(Sha256Stream, EveryLengthMatchesPortable) {
+  // On a host without SHA-NI both sides run the scalar kernel and the
+  // test still passes, comparing scalar with scalar.
+  Rng rng(1024);
+  const Bytes msg = rng.bytes(1024);
+  for (std::size_t n = 0; n <= msg.size(); ++n) {
+    const BytesView view(msg.data(), n);
+    Hash256 ref, ref_split;
+    {
+      ScopedHashBackend scope(HashBackend::kPortable);
+      ref = sha256(view);
+      ref_split = sha256_split(view, n, 150);
+    }
+    EXPECT_EQ(ref_split, ref) << "portable split, n=" << n;
+    ScopedHashBackend scope(HashBackend::kAuto);
+    EXPECT_EQ(sha256(view), ref) << "one-shot, n=" << n;
+    EXPECT_EQ(sha256_split(view, n, 150), ref) << "split, n=" << n;
+  }
+}
+
+TEST(Sha256Stream, MebibyteMatchesPortable) {
+  Rng rng(20);
+  const Bytes msg = rng.bytes(1u << 20);
+  Hash256 ref;
+  {
+    ScopedHashBackend scope(HashBackend::kPortable);
+    ref = sha256(BytesView(msg));
+    EXPECT_EQ(sha256_split(BytesView(msg), 1, 5000), ref);
+  }
+  ScopedHashBackend scope(HashBackend::kAuto);
+  EXPECT_EQ(sha256(BytesView(msg)), ref);
+  EXPECT_EQ(sha256_split(BytesView(msg), 2, 5000), ref);
 }
 
 TEST(Merkle, RootIsBackendIndependent) {
